@@ -8,9 +8,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <random>
+#include <string>
 
 #include "apps/apps.hpp"
 #include "batch/commit_kernel.hpp"
@@ -560,6 +564,17 @@ BM_UArchTick(benchmark::State &state)
 BENCHMARK(BM_UArchTick);
 
 /**
+ * A /tmp .ctrace name unique to this process, so concurrent benchmark
+ * runs never write over each other's inputs.
+ */
+std::string
+benchTracePath(const char *stem)
+{
+    return "/tmp/culpeo_bench_" + std::string(stem) + "_" +
+           std::to_string(::getpid()) + ".ctrace";
+}
+
+/**
  * A varying indoor-solar sky recorded to a temp .ctrace once per
  * process: 8 Hz over 32 s with 1 s cloud pieces, sized so its mean
  * power matches the Periodic Sensing app's 1.2 mW design point. Both
@@ -581,7 +596,7 @@ recordedSkyPath()
         const env::SolarDiurnalField field(solar);
         const env::TraceData data = env::recordField(
             field, env::Position{}, Seconds(32.0), Hertz(8.0));
-        std::string p = "/tmp/culpeo_bench_sky.ctrace";
+        std::string p = benchTracePath("sky");
         if (!env::writeTrace(p, data).ok())
             std::abort();
         return p;
@@ -609,7 +624,7 @@ BM_TraceDecode(benchmark::State &state)
                                      1e-4 * std::sin(double(i) * 0.01));
             data.voltage_v.push_back(3.0);
         }
-        std::string p = "/tmp/culpeo_bench_decode.ctrace";
+        std::string p = benchTracePath("decode");
         if (!env::writeTrace(p, data).ok())
             std::abort();
         return p;
@@ -622,6 +637,7 @@ BM_TraceDecode(benchmark::State &state)
         samples = reader->size();
         benchmark::DoNotOptimize(reader->sampleAt(samples / 2));
     }
+    std::remove(path.c_str());
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(samples));
     state.SetBytesProcessed(int64_t(state.iterations()) *

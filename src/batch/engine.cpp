@@ -1385,6 +1385,48 @@ runPopulation(const std::vector<LaneSpec> &specs,
     return results;
 }
 
+OpOutcome
+executeOp(sim::Device &device, const LaneOp &op)
+{
+    OpOutcome out;
+    out.kind = op.kind;
+    const Seconds t0 = device.now();
+    switch (op.kind) {
+    case OpKind::WaitLevel:
+    case OpKind::WaitEnabled: {
+        sim::WaitResult w;
+        if (op.kind == OpKind::WaitEnabled)
+            w = device.rechargeUntilOn(op.deadline);
+        else if (op.stop_when_off)
+            w = device.idleUntilVoltage(op.level, op.deadline);
+        else
+            w = device.rechargeTo(op.level);
+        out.wait_status = w.status;
+        out.voltage = w.voltage;
+        out.diagnostic = std::move(w.diagnostic);
+        break;
+    }
+    case OpKind::RunProfile: {
+        sim::LoadOptions lo;
+        lo.dt = op.dt;
+        lo.stop_on_failure = op.stop_on_failure;
+        const sim::LoadResult r = device.runLoad(*op.profile, lo);
+        out.completed = r.completed;
+        out.power_failed = r.power_failed;
+        out.collapsed = r.collapsed;
+        out.vmin = r.vmin;
+        out.voltage = r.vend;
+        break;
+    }
+    case OpKind::IdleFor:
+        device.idleFor(op.duration);
+        out.voltage = device.restingVoltage();
+        break;
+    }
+    out.elapsed = device.now() - t0;
+    return out;
+}
+
 LaneResult
 runLaneScalar(const LaneSpec &spec)
 {
@@ -1405,49 +1447,8 @@ runLaneScalar(const LaneSpec &spec)
 
     LaneResult result;
     for (unsigned rep = 0; rep < spec.repeat; ++rep) {
-        for (const LaneOp &op : spec.program) {
-            OpOutcome out;
-            out.kind = op.kind;
-            const Seconds t0 = device.now();
-            switch (op.kind) {
-            case OpKind::WaitLevel: {
-                const sim::WaitResult w = op.stop_when_off
-                    ? device.idleUntilVoltage(op.level, op.deadline)
-                    : device.rechargeTo(op.level);
-                out.wait_status = w.status;
-                out.voltage = w.voltage;
-                out.diagnostic = w.diagnostic;
-                break;
-            }
-            case OpKind::WaitEnabled: {
-                const sim::WaitResult w =
-                    device.rechargeUntilOn(op.deadline);
-                out.wait_status = w.status;
-                out.voltage = w.voltage;
-                out.diagnostic = w.diagnostic;
-                break;
-            }
-            case OpKind::RunProfile: {
-                sim::LoadOptions lo;
-                lo.dt = op.dt;
-                lo.stop_on_failure = op.stop_on_failure;
-                const sim::LoadResult r =
-                    device.runLoad(*op.profile, lo);
-                out.completed = r.completed;
-                out.power_failed = r.power_failed;
-                out.collapsed = r.collapsed;
-                out.vmin = r.vmin;
-                out.voltage = r.vend;
-                break;
-            }
-            case OpKind::IdleFor:
-                device.idleFor(op.duration);
-                out.voltage = device.restingVoltage();
-                break;
-            }
-            out.elapsed = device.now() - t0;
-            result.ops.push_back(std::move(out));
-        }
+        for (const LaneOp &op : spec.program)
+            result.ops.push_back(executeOp(device, op));
     }
     result.end_time = device.now();
     result.vend = device.restingVoltage();

@@ -138,8 +138,8 @@ struct LaneStatus
 /**
  * Dynamic op feeder: a lane driven by an OpSource asks for its next op
  * at every op boundary instead of executing a fixed program. This is
- * how stateful drivers (the BatchTrialRunner's per-trial scheduler
- * replicas) ride the lockstep kernel: each completed op's outcome and
+ * how stateful drivers (the scheduler's per-trial TrialDriver) ride
+ * the lockstep kernel: each completed op's outcome and
  * the lane's current state go in, the next Device-primitive op comes
  * out. Sourced lanes do not record OpOutcomes into LaneResult::ops —
  * the source already saw every outcome.
@@ -298,6 +298,13 @@ class BatchEngine
  */
 std::vector<LaneResult> runPopulation(const std::vector<LaneSpec> &specs,
                                       const BatchOptions &options = {});
+
+/**
+ * Execute one op on a sim::Device: the Device primitive each OpKind
+ * names, with its outcome in lane form. The one scalar executor behind
+ * runLaneScalar and sched::runSeededTrial.
+ */
+OpOutcome executeOp(sim::Device &device, const LaneOp &op);
 
 /**
  * Reference executor: the same spec through sim::Device primitives.

@@ -4,19 +4,16 @@
  * engine (DESIGN.md §14).
  *
  * Each trial of a runTrialsWith()-style sweep becomes one lane of a
- * BatchEngine, driven by a per-trial OpSource that replays the
- * sched::runSeededTrial decision loop op by op: the same arrival
- * stream (same util::Rng draws), the same retire/service/background
- * ordering, the same Device-primitive sequence with the same deadlines
- * and thresholds. Policy thresholds and per-task step sizes are
- * resolved once per sweep (they are const and trial-independent), and
- * trials are sharded into fixed-size batches that run on the shared
- * util::ThreadPool.
+ * BatchEngine, driven by its own batch::TrialDriver — the same
+ * scheduler sched::runSeededTrial executes on a sim::Device, here
+ * executed by the lockstep kernel. Policy thresholds and per-task step
+ * sizes are resolved once per sweep into PolicyTables (they are const
+ * and trial-independent), and trials are sharded into fixed-size
+ * batches that run on the shared util::ThreadPool.
  *
- * Telemetry follows the runTrialsWith() contract exactly: each trial
- * records into a private scratch sink (trial-tagged), and scratches
- * are merged into the user's sink in trial order — byte-deterministic
- * regardless of shard scheduling.
+ * Scratch creation and the trial-order merge are runTrialsWith()'s own
+ * (sched::makeTrialScratch, sched::aggregateTrials), so the telemetry
+ * export is byte-deterministic regardless of shard scheduling.
  *
  * With TrialRunnerOptions::batch.exact_replay = true the per-lane
  * arithmetic is bit-identical to sim::Device, so aggregates match

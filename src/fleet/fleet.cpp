@@ -245,13 +245,11 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
     // (PolicyTables rejects non-stationary policies.)
     sched::TrialConfig config;
     config.duration = spec.duration;
+    config.telemetry = options.telemetry;
     std::vector<batch::PolicyTables> tables;
     tables.reserve(spec.cohorts.size());
     for (std::size_t i = 0; i < spec.cohorts.size(); ++i)
         tables.emplace_back(*spec.cohorts[i].app, *policies[i]);
-
-    telemetry::Telemetry *sink =
-        telemetry::kEnabled ? options.telemetry : nullptr;
 
     struct DeviceRun
     {
@@ -264,13 +262,17 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         (spec.devices + shard_devices - 1) / shard_devices;
 
     // One pool item per shard; each shard steps its lanes in lockstep
-    // through one BatchEngine. Lanes are mutually independent (they
-    // share only the immutable field), so results depend only on the
-    // device index, never on the shard layout.
-    const auto runShard = [&](std::size_t s) {
+    // through one BatchEngine and fills its own slice of `runs`. Lanes
+    // are mutually independent (they share only the immutable field),
+    // so results depend only on the device index, never on the shard
+    // layout.
+    std::vector<DeviceRun> runs(spec.devices);
+    util::ThreadPool &pool = options.pool != nullptr
+                                 ? *options.pool
+                                 : util::ThreadPool::shared();
+    pool.parallelFor(shards, [&](std::size_t s) {
         const std::size_t d0 = s * shard_devices;
         const std::size_t d1 = std::min(spec.devices, d0 + shard_devices);
-        std::vector<DeviceRun> runs(d1 - d0);
         // Reserved up front: lane specs borrow these harvester views by
         // address, so the vector must never reallocate.
         std::vector<env::FieldHarvester> views;
@@ -281,16 +283,12 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         for (std::size_t d = d0; d < d1; ++d) {
             const DeviceRecord rec = sampleDevice(spec, d);
             const Cohort &cohort = spec.cohorts[rec.cohort];
-            DeviceRun &run = runs[d - d0];
+            DeviceRun &run = runs[d];
             run.result.cohort = rec.cohort;
             run.result.pos = rec.pos;
             run.result.cap_scale = rec.cap_scale;
             run.result.esr_scale = rec.esr_scale;
-            if (sink != nullptr) {
-                run.scratch = std::make_shared<telemetry::Telemetry>(
-                    sink->config());
-                run.scratch->setTrial(std::uint32_t(d));
-            }
+            run.scratch = sched::makeTrialScratch(config, unsigned(d));
             drivers.push_back(std::make_unique<batch::TrialDriver>(
                 *cohort.app, config, tables[rec.cohort], rec.trial_seed,
                 run.scratch.get()));
@@ -318,7 +316,7 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
         }
         engine.run();
         for (std::size_t d = d0; d < d1; ++d) {
-            DeviceRun &run = runs[d - d0];
+            DeviceRun &run = runs[d];
             const sched::TrialResult &trial = drivers[d - d0]->result();
             for (const sched::EventTypeStats &e : trial.per_event) {
                 run.result.arrived += e.arrived;
@@ -331,17 +329,7 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
                 run.result.sheds =
                     unsigned(run.scratch->summary().sheds);
         }
-        return runs;
-    };
-
-    std::vector<std::size_t> shard_index(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-        shard_index[s] = s;
-    util::ThreadPool &pool = options.pool != nullptr
-                                 ? *options.pool
-                                 : util::ThreadPool::shared();
-    std::vector<std::vector<DeviceRun>> shard_runs =
-        pool.parallelMap(shard_index, runShard);
+    });
 
     SummaryReport report;
     report.devices.reserve(spec.devices);
@@ -353,23 +341,21 @@ runFleet(const FleetSpec &spec, const FleetOptions &options)
     report.sheds = Histo(0.0, 16.0, 16);
 
     // Device-order merge: shard layout cannot reorder anything.
-    for (std::vector<DeviceRun> &runs : shard_runs) {
-        for (DeviceRun &run : runs) {
-            const DeviceResult &d = run.result;
-            CohortSummary &c = report.cohorts[d.cohort];
-            ++c.devices;
-            c.arrived += d.arrived;
-            c.captured += d.captured;
-            c.power_failures += d.power_failures;
-            c.background_runs += d.background_runs;
-            c.sheds += d.sheds;
-            report.capture_rate.add(d.captureRate());
-            report.power_failures.add(double(d.power_failures));
-            report.sheds.add(double(d.sheds));
-            if (run.scratch != nullptr)
-                sink->merge(*run.scratch);
-            report.devices.push_back(std::move(run.result));
-        }
+    for (DeviceRun &run : runs) {
+        const DeviceResult &d = run.result;
+        CohortSummary &c = report.cohorts[d.cohort];
+        ++c.devices;
+        c.arrived += d.arrived;
+        c.captured += d.captured;
+        c.power_failures += d.power_failures;
+        c.background_runs += d.background_runs;
+        c.sheds += d.sheds;
+        report.capture_rate.add(d.captureRate());
+        report.power_failures.add(double(d.power_failures));
+        report.sheds.add(double(d.sheds));
+        if (run.scratch != nullptr)
+            config.telemetry->merge(*run.scratch);
+        report.devices.push_back(std::move(run.result));
     }
     return report;
 }

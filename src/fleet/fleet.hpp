@@ -2,8 +2,9 @@
  * @file
  * Fleet-scale population simulator (DESIGN.md §16): N heterogeneous
  * devices deployed across a shared env::HarvestField, each running a
- * full scheduler trial on its own batch::BatchEngine lane via the
- * batch::TrialDriver replica, sharded over the thread pool.
+ * full scheduler trial (batch::TrialDriver, the scheduler every trial
+ * runs) on its own batch::BatchEngine lane, sharded over the thread
+ * pool.
  *
  * Determinism contract: every per-device draw (cohort, position,
  * parameter scales, trial seed) is a pure function of (FleetSpec::seed,

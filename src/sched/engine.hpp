@@ -21,6 +21,7 @@
 #define CULPEO_SCHED_ENGINE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -145,11 +146,11 @@ TrialResult runTrialWith(const AppSpec &app, Policy &policy,
                          const TrialConfig &config = {});
 
 /**
- * The engine proper: one trial at an explicit @p seed, emitting into
- * @p scratch when non-null. The caller owns scratch creation and the
- * in-order merge into any user sink — this is the building block both
- * runTrialWith()/runTrialsWith() and the batch::BatchTrialRunner sweep
- * executor drive; TrialConfig::seed and ::trials are ignored here.
+ * One trial at an explicit @p seed on a sim::Device, emitting into
+ * @p scratch when non-null: the scheduler (batch::TrialDriver) decides
+ * each op against the live policy and the device executes it. The
+ * caller owns scratch creation and the in-order merge into any user
+ * sink; TrialConfig::seed and ::trials are ignored here.
  */
 TrialResult runSeededTrial(const AppSpec &app, Policy &policy,
                            const TrialConfig &config, std::uint64_t seed,
@@ -180,6 +181,31 @@ struct AggregateResult
      */
     double overallCaptureRate() const;
 };
+
+/** One trial of a sweep: its result and its private telemetry scratch. */
+struct TrialRun
+{
+    TrialResult result;
+    /** Null when the sweep has no telemetry sink. */
+    std::shared_ptr<telemetry::Telemetry> scratch;
+};
+
+/**
+ * Trial @p trial's private scratch sink: a trial-tagged copy of
+ * config.telemetry's configuration, or null when no sink is attached
+ * (or the build has telemetry compiled out).
+ */
+std::shared_ptr<telemetry::Telemetry> makeTrialScratch(const TrialConfig &config,
+                                                       unsigned trial);
+
+/**
+ * Fold a sweep's @p runs, in trial order, into an AggregateResult and
+ * merge each scratch into config.telemetry in that same order, so the
+ * export is byte-deterministic however the trials were scheduled. The
+ * one aggregation runTrialsWith() and batch::runTrialsBatch() share.
+ */
+AggregateResult aggregateTrials(const AppSpec &app, const TrialConfig &config,
+                                const std::vector<TrialRun> &runs);
 
 /**
  * Run config.trials independently seeded trials and aggregate. Trials

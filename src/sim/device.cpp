@@ -51,108 +51,114 @@ Device::Device(PowerSystemConfig config, DeviceOptions options)
 }
 
 void
-Device::setTelemetry(telemetry::Telemetry *telemetry)
+DeviceTelemetry::attach(telemetry::Telemetry *sink, bool staged)
 {
     if constexpr (!telemetry::kEnabled) {
-        (void)telemetry;
+        (void)sink;
+        (void)staged;
         return;
     }
-    telemetry_ = telemetry;
-    buffer_switches_ = nullptr; // Re-resolved lazily against the new sink.
-    if (telemetry_ == nullptr) {
-        tcache_ = TelemetryCache{};
+    *this = DeviceTelemetry{}; // Lazy handles re-resolve on the new sink.
+    sink_ = sink;
+    staged_ = staged;
+    if (sink_ == nullptr)
         return;
-    }
     namespace names = telemetry::names;
-    telemetry::Registry &reg = telemetry_->registry();
-    tcache_.loads = &reg.counter(names::kDeviceLoads);
-    tcache_.brownouts = &reg.counter(names::kDeviceBrownouts);
-    tcache_.recharges = &reg.counter(names::kDeviceRecharges);
-    tcache_.waits = &reg.counter(names::kDeviceWaits);
-    tcache_.waits_unreachable =
-        &reg.counter(names::kDeviceWaitsUnreachable);
-    tcache_.recharge_seconds = &reg.gauge(names::kDeviceRechargeSeconds,
-                                          telemetry::GaugeMode::Sum);
-    tcache_.min_margin = &reg.gauge(names::kDeviceMinMarginV,
-                                    telemetry::GaugeMode::Min);
+    telemetry::Registry &reg = sink_->registry();
+    loads_ = &reg.counter(names::kDeviceLoads);
+    brownouts_ = &reg.counter(names::kDeviceBrownouts);
+    recharges_ = &reg.counter(names::kDeviceRecharges);
+    waits_ = &reg.counter(names::kDeviceWaits);
+    waits_unreachable_ = &reg.counter(names::kDeviceWaitsUnreachable);
+    recharge_seconds_ = &reg.gauge(names::kDeviceRechargeSeconds,
+                                   telemetry::GaugeMode::Sum);
+    min_margin_ =
+        &reg.gauge(names::kDeviceMinMarginV, telemetry::GaugeMode::Min);
+}
+
+void
+DeviceTelemetry::trace(telemetry::EventKind kind, double time_s,
+                       double voltage_v, double value, bool flag)
+{
+    if (staged_)
+        sink_->stage(kind, time_s, voltage_v, 0, value, flag);
+    else
+        sink_->emit(kind, time_s, voltage_v, 0, value, flag);
+}
+
+void
+DeviceTelemetry::recordWait(WaitStatus status)
+{
+    waits_->add();
+    if (status == WaitStatus::Unreachable)
+        waits_unreachable_->add();
+}
+
+void
+DeviceTelemetry::recordRecharge(Volts enter_voltage, Volts target,
+                                WaitStatus status, Seconds elapsed,
+                                Volts voltage, Seconds now)
+{
+    recordWait(status);
+    recharges_->add();
+    recharge_seconds_->record(elapsed.value());
+    const double t_exit = now.value();
+    trace(telemetry::EventKind::RechargeEnter, t_exit - elapsed.value(),
+          enter_voltage.value(), target.value());
+    trace(telemetry::EventKind::RechargeExit, t_exit, voltage.value(),
+          target.value(), status == WaitStatus::Reached);
+}
+
+void
+DeviceTelemetry::recordLoad(bool completed, bool power_failed, Volts vmin,
+                            Volts vend, Volts voff, Seconds now)
+{
+    loads_->add();
+    min_margin_->record(vmin.value() - voff.value());
+    const double t = now.value();
+    if (sink_->sampleTick()) {
+        trace(telemetry::EventKind::VminRecord, t, vend.value(),
+              vmin.value(), completed);
+    }
+    if (power_failed) {
+        brownouts_->add();
+        trace(telemetry::EventKind::BrownOut, t, vmin.value(),
+              vmin.value());
+    }
+}
+
+void
+DeviceTelemetry::bufferSwitch()
+{
+    if (sink_ == nullptr)
+        return;
+    if (buffer_switches_ == nullptr) {
+        buffer_switches_ = &sink_->registry().counter(
+            telemetry::names::kDeviceBufferSwitches);
+    }
+    buffer_switches_->add();
 }
 
 void
 Device::reconfigureBuffer(const CapacitorConfig &next)
 {
     system_.reconfigureCapacitor(next);
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        if (buffer_switches_ == nullptr) {
-            buffer_switches_ = &telemetry_->registry().counter(
-                telemetry::names::kDeviceBufferSwitches);
-        }
-        buffer_switches_->add();
-    }
-}
-
-void
-Device::noteWait(const WaitResult &result)
-{
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        tcache_.waits->add();
-        if (result.status == WaitStatus::Unreachable)
-            tcache_.waits_unreachable->add();
-    } else {
-        (void)result;
-    }
+    telemetry_.bufferSwitch();
 }
 
 void
 Device::noteRecharge(Volts enter_voltage, Volts target,
                      const WaitResult &result)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        noteWait(result);
-        tcache_.recharges->add();
-        tcache_.recharge_seconds->record(result.elapsed.value());
-        const double t_exit = system_.now().value();
-        telemetry_->emit(telemetry::EventKind::RechargeEnter,
-                         t_exit - result.elapsed.value(),
-                         enter_voltage.value(), 0, target.value());
-        telemetry_->emit(telemetry::EventKind::RechargeExit, t_exit,
-                         result.voltage.value(), 0, target.value(),
-                         result.reached());
-    } else {
-        (void)enter_voltage;
-        (void)target;
-        (void)result;
-    }
+    telemetry_.recharge(enter_voltage, target, result.status,
+                        result.elapsed, result.voltage, system_.now());
 }
 
 void
 Device::noteLoad(const LoadResult &result)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telemetry_ == nullptr)
-            return;
-        tcache_.loads->add();
-        tcache_.min_margin->record(result.vmin.value() -
-                                   system_.voff().value());
-        const double t = system_.now().value();
-        if (telemetry_->sampleTick()) {
-            telemetry_->emit(telemetry::EventKind::VminRecord, t,
-                             result.vend.value(), 0, result.vmin.value(),
-                             result.completed);
-        }
-        if (result.power_failed) {
-            tcache_.brownouts->add();
-            telemetry_->emit(telemetry::EventKind::BrownOut, t,
-                             result.vmin.value(), 0, result.vmin.value());
-        }
-    } else {
-        (void)result;
-    }
+    telemetry_.load(result.completed, result.power_failed, result.vmin,
+                    result.vend, system_.voff(), system_.now());
 }
 
 WaitResult
@@ -160,7 +166,7 @@ Device::idleUntilVoltage(Volts need, Seconds deadline)
 {
     const WaitResult result =
         waitForVoltage(need, deadline, /*stop_when_off=*/true);
-    noteWait(result);
+    telemetry_.wait(result.status);
     return result;
 }
 

@@ -31,6 +31,7 @@
 #include "sched/trial.hpp"
 #include "sim/power_system.hpp"
 #include "util/random.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -51,7 +52,7 @@ baseSeed()
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testutil::uniqueTempPath(name);
 }
 
 env::SolarConfig

@@ -26,6 +26,7 @@
 #include "env/trace.hpp"
 #include "env/trace_reader.hpp"
 #include "telemetry/telemetry.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -41,7 +42,7 @@ tracesDir()
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testutil::uniqueTempPath(name);
 }
 
 /** The one deterministic series every fixture derives from. */

@@ -19,6 +19,7 @@
 #include "load/library.hpp"
 #include "load/trace_io.hpp"
 #include "util/logging.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -61,7 +62,7 @@ TEST(GoldenTrace, SaveReproducesTheCheckedInBytes)
     // the loaded golden trace yields a byte-identical file.
     const std::string golden_path = dataPath("gesture_50khz.csv");
     const std::string resaved_path =
-        ::testing::TempDir() + "culpeo_golden_resave.csv";
+        testutil::uniqueTempPath("culpeo_golden_resave.csv");
     saveTraceCsv(loadTraceCsv(golden_path), resaved_path);
     EXPECT_EQ(slurp(resaved_path), slurp(golden_path));
     std::remove(resaved_path.c_str());

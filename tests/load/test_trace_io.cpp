@@ -9,6 +9,7 @@
 #include "load/library.hpp"
 #include "load/trace_io.hpp"
 #include "util/logging.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -32,7 +33,7 @@ class TraceIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "culpeo_trace_test.csv";
+        path_ = testutil::uniqueTempPath("culpeo_trace_test.csv");
     }
 
     void

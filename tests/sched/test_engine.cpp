@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "util/logging.hpp"
 
 #include "apps/apps.hpp"
@@ -201,6 +204,109 @@ TEST(Engine, EmptyEventTypeDoesNotInflateCaptureRate)
     sched::TrialResult all_empty;
     all_empty.per_event.push_back({"quiet", 0, 0, 0});
     EXPECT_DOUBLE_EQ(all_empty.overallCaptureRate(), 0.0);
+}
+
+/**
+ * FixedPolicy that refuses by itself (no supervisor involved): the
+ * whole chain, one named link mid-chain, or the first few background
+ * slots. Records when the first background run ended, which is how
+ * the pacing clock shows.
+ */
+class RefusingPolicy : public FixedPolicy
+{
+  public:
+    bool refuse_chain = false;
+    std::string refuse_task;
+    unsigned refuse_background_slots = 0;
+    mutable unsigned background_queries = 0;
+    std::optional<Seconds> first_background_end;
+
+    const char *name() const override { return "refusing"; }
+    bool stationary() const override { return false; }
+    sched::Admission admitTask(const sched::SchedTask &task) const override
+    {
+        sched::Admission admission = FixedPolicy::admitTask(task);
+        admission.admit = task.name != refuse_task;
+        return admission;
+    }
+    sched::Admission admitChain(const sched::EventSpec &spec) const override
+    {
+        sched::Admission admission = FixedPolicy::admitChain(spec);
+        admission.admit = !refuse_chain;
+        return admission;
+    }
+    sched::Admission admitBackground(const AppSpec &app) const override
+    {
+        sched::Admission admission = FixedPolicy::admitBackground(app);
+        admission.admit = ++background_queries > refuse_background_slots;
+        return admission;
+    }
+    void observe(const sched::TaskOutcome &outcome) override
+    {
+        if (outcome.task->name == "bg" && !first_background_end)
+            first_background_end = outcome.now;
+    }
+};
+
+TEST(Engine, PolicyRefusedChainIsLostWithoutDispatch)
+{
+    const AppSpec app = simpleApp();
+    RefusingPolicy policy;
+    policy.refuse_chain = true;
+    sched::TrialConfig config;
+    config.duration = 20.0_s;
+    config.seed = 1;
+    const TrialResult result = sched::runTrialWith(app, policy, config);
+    const auto &stats = result.eventStats("ping");
+    EXPECT_EQ(stats.arrived, 9u);
+    EXPECT_EQ(stats.captured, 0u);
+    EXPECT_EQ(stats.lost, stats.arrived);
+    EXPECT_EQ(result.tasks_started, 0u);
+    EXPECT_EQ(result.power_failures, 0u);
+}
+
+TEST(Engine, PolicyRefusedLinkLosesEventMidChain)
+{
+    AppSpec app = simpleApp();
+    app.events[0].chain.push_back(
+        {2, "refused", load::uniform(5.0_mA, 10.0_ms)});
+    RefusingPolicy policy;
+    policy.refuse_task = "refused";
+    sched::TrialConfig config;
+    config.duration = 20.0_s;
+    config.seed = 1;
+    const TrialResult result = sched::runTrialWith(app, policy, config);
+    const auto &stats = result.eventStats("ping");
+    EXPECT_EQ(stats.arrived, 9u);
+    EXPECT_EQ(stats.captured, 0u);
+    EXPECT_EQ(stats.lost, stats.arrived);
+    // Only the first link ever dispatches; the refused one never does.
+    EXPECT_EQ(result.tasks_started, stats.arrived);
+    EXPECT_EQ(result.tasks_completed, result.tasks_started);
+}
+
+TEST(Engine, PolicyRefusedBackgroundSlotStillAdvancesPacing)
+{
+    AppSpec app = simpleApp();
+    app.background = sched::SchedTask{3, "bg",
+                                      load::uniform(5.0_mA, 20.0_ms)};
+    app.background_period = 0.1_s;
+    RefusingPolicy policy;
+    policy.refuse_background_slots = 5;
+    policy.background = Volts(1.7); // Runs whenever admitted.
+    sched::TrialConfig config;
+    config.duration = 10.0_s;
+    config.seed = 1;
+    const TrialResult result = sched::runTrialWith(app, policy, config);
+    // Each refusal consumes its 0.1 s slot instead of re-polling the
+    // policy at the same instant, so the first run starts at t = 0.5 s
+    // (slots 0 .. 0.4 s refused) and ends one 20 ms load later.
+    ASSERT_TRUE(policy.first_background_end.has_value());
+    EXPECT_GE(policy.first_background_end->value(), 0.5);
+    EXPECT_LT(policy.first_background_end->value(), 0.55);
+    EXPECT_GT(result.background_runs, 0u);
+    EXPECT_EQ(result.tasks_started,
+              result.background_runs + result.eventStats("ping").arrived);
 }
 
 TEST(Engine, UnknownEventNameIsFatal)
